@@ -62,8 +62,7 @@ fn run_storm(tag: &str, window: Duration) -> ModeOutcome {
                     wal.append(LogRecord::Begin { tid }).unwrap();
                     wal.append(LogRecord::Data {
                         tid,
-                        engine: "hana".into(),
-                        payload: format!("INSERT INTO accounts VALUES ({tid}, {i})"),
+                        payload: format!("INSERT INTO accounts VALUES ({tid}, {i})").into_bytes(),
                     })
                     .unwrap();
                     // The durable wait is the commit point: the ticket

@@ -6,6 +6,7 @@
 //! artifact repository, the security manager, and the coordinated
 //! backup/recovery spanning the in-memory and extended stores.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -31,6 +32,7 @@ use hana_txn::{TransactionManager, TwoPhaseParticipant, TxnHandle};
 use hana_types::{ColumnDef, DataType, HanaError, Result, ResultSet, Row, Schema, Value};
 
 use crate::catalog::{PlatformCatalog, TableEntry, TableKindInfo};
+use crate::durability::Redo;
 use crate::ingest::{IngestCommit, IngestDriver};
 use crate::repository::{ArtifactKind, DeliveryUnit, Repository};
 use crate::security::{Privilege, SecurityManager, Session};
@@ -38,22 +40,6 @@ use crate::writes::{LocalOp, LocalWrites};
 
 /// SDA source name of the internal, shielded IQ instance.
 pub const INTERNAL_IQ_SOURCE: &str = "_iq_internal";
-
-/// Record separator for bulk-load WAL payloads.
-const ROW_SEP: char = '\u{1e}';
-
-/// Marker payload prefix for distributed bulk loads whose row data lives
-/// in the per-partition logs rather than the coordinator log.
-const DIST_LOAD_MARKER: &str = "--DISTLOAD\u{1}";
-
-/// Payload prefix of a streaming-ingest epoch whose rows are inline:
-/// `INGEST <pipeline> <epoch> <table> <rows>` (field-separated).
-const INGEST_MARKER: &str = "INGEST\u{1}";
-
-/// Payload prefix of a streaming-ingest epoch into a distributed table:
-/// the rows live in the per-partition logs, the coordinator record only
-/// carries `INGESTD <pipeline> <epoch> <table>`.
-const INGEST_DIST_MARKER: &str = "INGESTD\u{1}";
 
 type AdapterFactory = Box<dyn Fn(&str) -> Arc<dyn SdaAdapter> + Send + Sync>;
 
@@ -161,8 +147,7 @@ impl HanaPlatform {
                 after_cid = ckpt.cid;
                 self.restore(&session, &backup)?;
             }
-            let committed: HashMap<u64, u64> = report.committed.iter().copied().collect();
-            self.replay_records(&session, wal, &committed, after_cid)
+            self.replay_records(&session, wal, &report, after_cid)
         })();
         wal.set_passive(false);
         result
@@ -610,31 +595,21 @@ impl HanaPlatform {
                 table,
                 columns,
                 rows,
-            } => {
-                self.security.check(session, Privilege::Write)?;
-                let n = self.run_dml(session, sql_text, |p, tid, cid| {
-                    p.buffer_insert(tid, cid, &table, columns.as_deref(), &rows)
-                })?;
-                Ok(count_result(n))
-            }
+            } => self.run_dml(session, sql_text, |p, tid, cid| {
+                p.buffer_insert(tid, cid, &table, columns.as_deref(), &rows)
+            }),
             Statement::Delete { table, filter } => {
-                self.security.check(session, Privilege::Write)?;
-                let n = self.run_dml(session, sql_text, |p, tid, cid| {
+                self.run_dml(session, sql_text, |p, tid, cid| {
                     p.buffer_delete(tid, cid, &table, filter.as_ref())
-                })?;
-                Ok(count_result(n))
+                })
             }
             Statement::Update {
                 table,
                 assignments,
                 filter,
-            } => {
-                self.security.check(session, Privilege::Write)?;
-                let n = self.run_dml(session, sql_text, |p, tid, cid| {
-                    p.buffer_update(tid, cid, &table, &assignments, filter.as_ref())
-                })?;
-                Ok(count_result(n))
-            }
+            } => self.run_dml(session, sql_text, |p, tid, cid| {
+                p.buffer_update(tid, cid, &table, &assignments, filter.as_ref())
+            }),
             Statement::Begin => {
                 let mut txns = self.active_txns.lock();
                 if txns.contains_key(&session.id) {
@@ -719,29 +694,29 @@ impl HanaPlatform {
     }
 
     /// Run a buffered DML statement inside the session's (or a fresh
-    /// auto-commit) transaction, logging it for recovery.
+    /// auto-commit) transaction, logging it for recovery. Returns the
+    /// affected-row count.
     fn run_dml(
         &self,
         session: &Session,
         sql_text: &str,
         f: impl FnOnce(&Self, u64, u64) -> Result<usize>,
-    ) -> Result<usize> {
+    ) -> Result<ResultSet> {
+        self.security.check(session, Privilege::Write)?;
         let (txn, auto) = self.txn_for(session);
-        let result = f(self, txn.tid, txn.snapshot.cid());
+        let result = f(self, txn.tid, txn.snapshot.cid()).and_then(|n| {
+            let redo = Redo::Stmt(sql_text.to_string());
+            self.tm
+                .log_data(txn.tid, redo.encode())
+                .map(|()| count_result(n))
+        });
         match result {
-            Ok(n) => {
-                self.tm.log_data(txn.tid, "hana", sql_text)?;
-                if auto {
-                    self.tm.commit(txn, &self.participants())?;
-                }
-                Ok(n)
-            }
-            Err(e) => {
-                if auto {
-                    let _ = self.tm.abort(txn, &self.participants());
-                }
+            Ok(rs) if auto => self.tm.commit(txn, &self.participants()).map(|_| rs),
+            Err(e) if auto => {
+                let _ = self.tm.abort(txn, &self.participants());
                 Err(e)
             }
+            result => result,
         }
     }
 
@@ -904,7 +879,8 @@ impl HanaPlatform {
 
     fn log_ddl(&self, sql: &str) -> Result<()> {
         let txn = self.tm.begin();
-        self.tm.log_data(txn.tid, "hana", sql)?;
+        self.tm
+            .log_data(txn.tid, Redo::Stmt(sql.to_string()).encode())?;
         self.tm.commit(txn, &[])?;
         Ok(())
     }
@@ -949,38 +925,36 @@ impl HanaPlatform {
             rows.push(row);
         }
         let n = rows.len();
-        match &entry.source {
-            TableSource::Column(t) => {
+        self.buffer_rows(tid, table, &entry.source, rows)?;
+        Ok(n)
+    }
+
+    /// Buffer inserts of `rows` into `source` under `tid`. A distributed
+    /// table's rows go straight to their home nodes.
+    fn buffer_rows(
+        &self,
+        tid: u64,
+        table: &str,
+        source: &TableSource,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<()> {
+        let column_insert = |t: &Arc<RwLock<ColumnTable>>, row| LocalOp::ColumnInsert {
+            table: Arc::clone(t),
+            row,
+        };
+        match source {
+            TableSource::Column(t) | TableSource::Hybrid { hot: t, .. } => {
                 for row in rows {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(t),
-                            row,
-                        },
-                    );
+                    self.local_writes.buffer(tid, column_insert(t, row));
                 }
             }
             TableSource::Row(t) => {
                 for row in rows {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::RowInsert {
-                            table: Arc::clone(t),
-                            row,
-                        },
-                    );
-                }
-            }
-            TableSource::Hybrid { hot, .. } => {
-                for row in rows {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(hot),
-                            row,
-                        },
-                    );
+                    let op = LocalOp::RowInsert {
+                        table: Arc::clone(t),
+                        row,
+                    };
+                    self.local_writes.buffer(tid, op);
                 }
             }
             TableSource::Extended { remote_table, .. } => {
@@ -988,17 +962,9 @@ impl HanaPlatform {
                     .buffer_insert(tid, remote_table, rows.into_iter().map(Row).collect())?;
             }
             TableSource::Distributed(dt) => {
-                // Routed insert: each row buffers against its home
-                // node's fragment.
                 for row in rows {
-                    let node = dt.route(&row);
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(dt.nodes()[node].table()),
-                            row,
-                        },
-                    );
+                    let home = dt.nodes()[dt.route(&row)].table();
+                    self.local_writes.buffer(tid, column_insert(home, row));
                 }
             }
             TableSource::Virtual { .. } => {
@@ -1007,7 +973,7 @@ impl HanaPlatform {
                 )));
             }
         }
-        Ok(n)
+        Ok(())
     }
 
     fn buffer_delete(
@@ -1018,87 +984,37 @@ impl HanaPlatform {
         filter: Option<&Expr>,
     ) -> Result<usize> {
         let entry = self.catalog.table(table)?;
-        match &entry.source {
-            TableSource::Column(t) => {
-                let victims = {
-                    let tr = t.read();
-                    matching_column_rows(&tr, filter, cid)?
+        let delete_from = |t: &Arc<RwLock<ColumnTable>>| -> Result<usize> {
+            let victims = matching_column_rows(&t.read(), filter, cid)?;
+            for &(row_id, _) in &victims {
+                let op = LocalOp::ColumnDelete {
+                    table: Arc::clone(t),
+                    row_id,
                 };
-                let n = victims.len();
-                for row_id in victims {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnDelete {
-                            table: Arc::clone(t),
-                            row_id,
-                        },
-                    );
-                }
-                Ok(n)
+                self.local_writes.buffer(tid, op);
             }
-            TableSource::Row(t) => {
-                let tr = t.read();
-                let schema = tr.schema().clone();
-                let slots = tr.slots_matching(hana_txn::Snapshot::at(cid), |row| match filter {
-                    None => true,
-                    Some(f) => evaluate_predicate(f, &schema, row).unwrap_or(false),
-                });
-                drop(tr);
-                let n = slots.len();
-                for slot in slots {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::RowDelete {
-                            table: Arc::clone(t),
-                            slot,
-                        },
-                    );
-                }
-                Ok(n)
-            }
+            Ok(victims.len())
+        };
+        match &entry.source {
+            TableSource::Column(t) => delete_from(t),
             TableSource::Hybrid {
                 hot, cold_table, ..
-            } => {
-                let victims = {
-                    let tr = hot.read();
-                    matching_column_rows(&tr, filter, cid)?
-                };
-                let mut n = victims.len();
-                for row_id in victims {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnDelete {
-                            table: Arc::clone(hot),
-                            row_id,
-                        },
-                    );
+            } => Ok(delete_from(hot)? + self.iq_delete(tid, cid, cold_table, filter)?),
+            TableSource::Row(t) => {
+                let slots = matching_row_slots(&t.read(), filter, cid)?;
+                for &slot in &slots {
+                    let op = LocalOp::RowDelete {
+                        table: Arc::clone(t),
+                        slot,
+                    };
+                    self.local_writes.buffer(tid, op);
                 }
-                n += self.iq_delete(tid, cid, cold_table, filter)?;
-                Ok(n)
+                Ok(slots.len())
             }
             TableSource::Extended { remote_table, .. } => {
                 self.iq_delete(tid, cid, remote_table, filter)
             }
-            TableSource::Distributed(dt) => {
-                let mut n = 0;
-                for node in dt.nodes() {
-                    let victims = {
-                        let tr = node.table().read();
-                        matching_column_rows(&tr, filter, cid)?
-                    };
-                    n += victims.len();
-                    for row_id in victims {
-                        self.local_writes.buffer(
-                            tid,
-                            LocalOp::ColumnDelete {
-                                table: Arc::clone(node.table()),
-                                row_id,
-                            },
-                        );
-                    }
-                }
-                Ok(n)
-            }
+            TableSource::Distributed(dt) => dt.nodes().iter().map(|n| delete_from(n.table())).sum(),
             TableSource::Virtual { .. } => Err(HanaError::Unsupported(format!(
                 "virtual table '{table}' is read-only (no CAP_DML)"
             ))),
@@ -1127,6 +1043,9 @@ impl HanaPlatform {
         self.iq.buffer_delete(tid, remote_table, &preds, cid)
     }
 
+    /// Buffer an UPDATE as a delete of each matching row plus an insert
+    /// of its new image. Every new image is computed before anything is
+    /// buffered, so a failing assignment leaves the transaction as it was.
     fn buffer_update(
         &self,
         tid: u64,
@@ -1137,123 +1056,76 @@ impl HanaPlatform {
     ) -> Result<usize> {
         let entry = self.catalog.table(table)?;
         let schema = entry.source.schema();
-        let apply = |row: &Row| -> Result<Vec<Value>> {
+        let apply = |(id, row): (usize, Row)| -> Result<(usize, Vec<Value>)> {
             let mut new_row = row.values().to_vec();
             for (col, e) in assignments {
-                new_row[schema.require(col)?] = evaluate(e, &schema, row)?;
+                new_row[schema.require(col)?] = evaluate(e, &schema, &row)?;
             }
-            Ok(new_row)
+            Ok((id, new_row))
         };
-        match &entry.source {
-            // Hybrid tables update their hot partition; cold data is
-            // read-mostly ("rarely accessed", §3.1) and must be un-aged
-            // before modification.
-            TableSource::Column(t) | TableSource::Hybrid { hot: t, .. } => {
-                let (victims, new_rows) = {
-                    let tr = t.read();
-                    let victims = matching_column_rows(&tr, filter, cid)?;
-                    let new_rows: Vec<Vec<Value>> = victims
-                        .iter()
-                        .map(|&r| {
-                            apply(&Row::from_values((0..schema.len()).map(|c| tr.value(r, c))))
-                        })
-                        .collect::<Result<_>>()?;
-                    (victims, new_rows)
-                };
-                let n = victims.len();
-                for (row_id, row) in victims.into_iter().zip(new_rows) {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnDelete {
-                            table: Arc::clone(t),
-                            row_id,
-                        },
-                    );
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(t),
-                            row,
-                        },
-                    );
-                }
-                Ok(n)
-            }
-            TableSource::Row(t) => {
-                let tr = t.read();
-                let sch = tr.schema().clone();
-                let slots = tr.slots_matching(hana_txn::Snapshot::at(cid), |row| match filter {
-                    None => true,
-                    Some(f) => evaluate_predicate(f, &sch, row).unwrap_or(false),
-                });
-                let updates: Vec<(usize, Vec<Value>)> = slots
-                    .iter()
-                    .map(|&s| {
-                        let old = tr.slot_values(s).expect("slot exists").clone();
-                        Ok((s, apply(&old)?))
-                    })
-                    .collect::<Result<_>>()?;
-                drop(tr);
-                let n = updates.len();
-                for (slot, row) in updates {
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::RowDelete {
-                            table: Arc::clone(t),
-                            slot,
-                        },
-                    );
-                    self.local_writes.buffer(
-                        tid,
-                        LocalOp::RowInsert {
-                            table: Arc::clone(t),
-                            row,
-                        },
-                    );
-                }
-                Ok(n)
-            }
+        // Hybrid tables update their hot partition; cold data is
+        // read-mostly ("rarely accessed", §3.1) and must be un-aged
+        // before modification.
+        let (fragments, dist): (Vec<&Arc<RwLock<ColumnTable>>>, _) = match &entry.source {
+            TableSource::Column(t) | TableSource::Hybrid { hot: t, .. } => (vec![t], None),
             TableSource::Distributed(dt) => {
-                let mut n = 0;
-                for node in dt.nodes() {
-                    let (victims, new_rows) = {
-                        let tr = node.table().read();
-                        let victims = matching_column_rows(&tr, filter, cid)?;
-                        let new_rows: Vec<Vec<Value>> = victims
-                            .iter()
-                            .map(|&r| {
-                                apply(&Row::from_values((0..schema.len()).map(|c| tr.value(r, c))))
-                            })
-                            .collect::<Result<_>>()?;
-                        (victims, new_rows)
-                    };
-                    n += victims.len();
-                    for (row_id, row) in victims.into_iter().zip(new_rows) {
-                        self.local_writes.buffer(
-                            tid,
-                            LocalOp::ColumnDelete {
-                                table: Arc::clone(node.table()),
-                                row_id,
-                            },
-                        );
-                        // Re-route the new image: a partition-key update
-                        // may move the row to a different node.
-                        let home = dt.route(&row);
-                        self.local_writes.buffer(
-                            tid,
-                            LocalOp::ColumnInsert {
-                                table: Arc::clone(dt.nodes()[home].table()),
-                                row,
-                            },
-                        );
-                    }
-                }
-                Ok(n)
+                (dt.nodes().iter().map(|n| n.table()).collect(), Some(dt))
             }
-            _ => Err(HanaError::Unsupported(format!(
-                "UPDATE is supported on local tables only, not '{table}'"
-            ))),
+            TableSource::Row(t) => return self.buffer_row_update(tid, cid, t, filter, apply),
+            _ => {
+                return Err(HanaError::Unsupported(format!(
+                    "UPDATE is supported on local tables only, not '{table}'"
+                )))
+            }
+        };
+        let mut updates = Vec::new();
+        for t in fragments {
+            for victim in matching_column_rows(&t.read(), filter, cid)? {
+                updates.push((t, apply(victim)?));
+            }
         }
+        let n = updates.len();
+        for (t, (row_id, row)) in updates {
+            let table = Arc::clone(t);
+            self.local_writes
+                .buffer(tid, LocalOp::ColumnDelete { table, row_id });
+            // Re-route the new image: a partition-key update may move
+            // the row to a different node.
+            let home = dist.map_or(t, |dt| dt.nodes()[dt.route(&row)].table());
+            let table = Arc::clone(home);
+            self.local_writes
+                .buffer(tid, LocalOp::ColumnInsert { table, row });
+        }
+        Ok(n)
+    }
+
+    /// The ROW-table half of [`buffer_update`](Self::buffer_update):
+    /// `apply` computes each new image before anything is buffered.
+    fn buffer_row_update(
+        &self,
+        tid: u64,
+        cid: u64,
+        t: &Arc<RwLock<RowTable>>,
+        filter: Option<&Expr>,
+        apply: impl Fn((usize, Row)) -> Result<(usize, Vec<Value>)>,
+    ) -> Result<usize> {
+        let updates = {
+            let tr = t.read();
+            matching_row_slots(&tr, filter, cid)?
+                .into_iter()
+                .map(|s| apply((s, tr.slot_values(s).expect("slot exists").clone())))
+                .collect::<Result<Vec<_>>>()?
+        };
+        let n = updates.len();
+        for (slot, row) in updates {
+            let table = Arc::clone(t);
+            self.local_writes
+                .buffer(tid, LocalOp::RowDelete { table, slot });
+            let table = Arc::clone(t);
+            self.local_writes
+                .buffer(tid, LocalOp::RowInsert { table, row });
+        }
+        Ok(n)
     }
 
     // ---- bulk load ----
@@ -1264,38 +1136,21 @@ impl HanaPlatform {
     /// store").
     pub fn load_rows(&self, session: &Session, table: &str, rows: &[Row]) -> Result<usize> {
         self.security.check(session, Privilege::Write)?;
-        let entry = self.catalog.table(table)?;
-        let schema = entry.source.schema();
-        for row in rows {
-            schema.check_row(row.values())?;
-        }
-        let txn = self.tm.begin();
-        let dist_logged = match self.bulk_buffer(&txn, table, &entry, rows) {
-            Ok(d) => d,
-            Err(e) => {
-                // Abort so a retry of the same load starts clean.
-                let _ = self.tm.abort(txn, &self.participants());
-                return Err(e);
-            }
-        };
+        let entry = self.checked_entry(table, rows)?;
         // Log the bulk load for point-in-time recovery: a marker when
         // the rows already sit durably in partition logs, the full row
         // payload otherwise.
-        let payload = if dist_logged {
-            format!("{DIST_LOAD_MARKER}{table}")
-        } else {
-            format!("LOAD\u{1}{table}\u{1}{}", encode_rows(rows))
-        };
-        let tid = txn.tid;
-        self.tm.log_data(tid, "hana", &payload)?;
-        let receipt = self.tm.commit(txn, &self.participants())?;
-        if dist_logged {
-            if let TableSource::Distributed(dt) = &entry.source {
-                // Best-effort bookkeeping marker in the partition logs;
-                // the coordinator's commit record is the source of truth.
-                dt.log_commit(tid, receipt.cid);
+        self.bulk_commit(table, &entry, rows, |dist_logged| {
+            let table = table.to_string();
+            if dist_logged {
+                Redo::DistLoad { table }
+            } else {
+                Redo::Load {
+                    table,
+                    rows: Cow::Borrowed(rows),
+                }
             }
-        }
+        })?;
         // Bulk load is a natural statistics trigger (§3.1 synopses):
         // restore and ESP ingestion funnel through here too, so
         // recovered tables come back with fresh statistics.
@@ -1307,11 +1162,57 @@ impl HanaPlatform {
         Ok(rows.len())
     }
 
-    /// Buffer `rows` into `entry`'s storage under `txn` — the shared
-    /// apply half of [`load_rows`](Self::load_rows) and
-    /// [`commit_ingest_batch`](Self::commit_ingest_batch). Distributed
-    /// tables route through the repartition exchange and write their
-    /// per-partition logs; returns whether they did (`dist_logged`).
+    /// Look up `table` and check every row against its schema.
+    fn checked_entry(&self, table: &str, rows: &[Row]) -> Result<TableEntry> {
+        let entry = self.catalog.table(table)?;
+        let schema = entry.source.schema();
+        for row in rows {
+            schema.check_row(row.values())?;
+        }
+        Ok(entry)
+    }
+
+    /// Apply `rows` (already checked by [`checked_entry`](Self::checked_entry))
+    /// to `table` in one transaction that also logs `redo(dist_logged)`
+    /// — the shared half of [`load_rows`](Self::load_rows) and
+    /// [`commit_ingest_batch`](Self::commit_ingest_batch). Any failure
+    /// before the commit aborts, so a retry starts from a clean slate.
+    /// Returns the commit ID.
+    fn bulk_commit<'r>(
+        &self,
+        table: &str,
+        entry: &TableEntry,
+        rows: &'r [Row],
+        redo: impl FnOnce(bool) -> Redo<'r>,
+    ) -> Result<u64> {
+        let txn = self.tm.begin();
+        let tid = txn.tid;
+        let logged = self
+            .bulk_buffer(&txn, table, entry, rows)
+            .and_then(|dist_logged| {
+                self.tm.log_data(tid, redo(dist_logged).encode())?;
+                Ok(dist_logged)
+            });
+        let dist_logged = match logged {
+            Ok(d) => d,
+            Err(e) => {
+                let _ = self.tm.abort(txn, &self.participants());
+                return Err(e);
+            }
+        };
+        let receipt = self.tm.commit(txn, &self.participants())?;
+        if let (true, TableSource::Distributed(dt)) = (dist_logged, &entry.source) {
+            // Best-effort bookkeeping marker in the partition logs; the
+            // coordinator's commit record is the source of truth.
+            dt.log_commit(tid, receipt.cid);
+        }
+        Ok(receipt.cid)
+    }
+
+    /// Buffer `rows` into `entry`'s storage under `txn`, the apply half
+    /// of [`bulk_commit`](Self::bulk_commit). Distributed tables route
+    /// through the repartition exchange and write their per-partition
+    /// logs; returns whether they did (`dist_logged`).
     fn bulk_buffer(
         &self,
         txn: &TxnHandle,
@@ -1319,72 +1220,40 @@ impl HanaPlatform {
         entry: &TableEntry,
         rows: &[Row],
     ) -> Result<bool> {
-        let mut dist_logged = false;
-        match &entry.source {
-            TableSource::Column(t) | TableSource::Hybrid { hot: t, .. } => {
-                for row in rows {
-                    self.local_writes.buffer(
-                        txn.tid,
-                        LocalOp::ColumnInsert {
-                            table: Arc::clone(t),
-                            row: row.values().to_vec(),
-                        },
-                    );
-                }
-            }
-            TableSource::Row(t) => {
-                for row in rows {
-                    self.local_writes.buffer(
-                        txn.tid,
-                        LocalOp::RowInsert {
-                            table: Arc::clone(t),
-                            row: row.values().to_vec(),
-                        },
-                    );
-                }
-            }
-            TableSource::Extended { remote_table, .. } => {
-                self.iq
-                    .buffer_insert(txn.tid, remote_table, rows.to_vec())?;
-            }
-            TableSource::Distributed(dt) => {
-                // Bulk load goes through the repartition exchange: rows
-                // are bucketed by partition key and shipped to their
-                // home nodes over the links (accounted + fault-checked).
-                let ctx = RemoteContext::snapshot(txn.snapshot.cid());
-                let buckets =
-                    hana_dist::repartition(dt, &ctx, &RetryPolicy::default(), rows.to_vec())?;
-                for (node, bucket) in buckets.into_iter().enumerate() {
-                    for row in bucket {
-                        self.local_writes.buffer(
-                            txn.tid,
-                            LocalOp::ColumnInsert {
-                                table: Arc::clone(dt.nodes()[node].table()),
-                                row: row.0,
-                            },
-                        );
-                    }
-                }
-                // Coordinated durability: write the rows to their home
-                // partitions' logs and fsync them *before* the
-                // coordinator's commit record, so a committed coordinator
-                // record guarantees every partition has its rows. The
-                // coordinator log then only carries a marker.
-                if dt.wal_attached() && !self.tm.wal().passive() {
-                    for row in rows {
-                        dt.log_insert(txn.tid, row.values())?;
-                    }
-                    dt.sync_wal()?;
-                    dist_logged = true;
-                }
-            }
-            TableSource::Virtual { .. } => {
-                return Err(HanaError::Unsupported(format!(
-                    "virtual table '{table}' is read-only"
-                )));
+        let TableSource::Distributed(dt) = &entry.source else {
+            let rows = rows.iter().map(|r| r.values().to_vec()).collect();
+            self.buffer_rows(txn.tid, table, &entry.source, rows)?;
+            return Ok(false);
+        };
+        // Bulk load goes through the repartition exchange: rows are
+        // bucketed by partition key and shipped to their home nodes
+        // over the links (accounted + fault-checked).
+        let ctx = RemoteContext::snapshot(txn.snapshot.cid());
+        let buckets = hana_dist::repartition(dt, &ctx, &RetryPolicy::default(), rows.to_vec())?;
+        for (node, bucket) in buckets.into_iter().enumerate() {
+            for row in bucket {
+                self.local_writes.buffer(
+                    txn.tid,
+                    LocalOp::ColumnInsert {
+                        table: Arc::clone(dt.nodes()[node].table()),
+                        row: row.0,
+                    },
+                );
             }
         }
-        Ok(dist_logged)
+        // Coordinated durability: write the rows to their home
+        // partitions' logs and fsync them *before* the coordinator's
+        // commit record, so a committed coordinator record guarantees
+        // every partition has its rows. The coordinator log then only
+        // carries a marker.
+        if !dt.wal_attached() || self.tm.wal().passive() {
+            return Ok(false);
+        }
+        for row in rows {
+            dt.log_insert(txn.tid, row.values())?;
+        }
+        dt.sync_wal()?;
+        Ok(true)
     }
 
     // ---- streaming ingest (exactly-once epochs) ----
@@ -1413,56 +1282,41 @@ impl HanaPlatform {
         rows: &[Row],
     ) -> Result<IngestCommit> {
         self.security.check(session, Privilege::Stream)?;
-        let entry = self.catalog.table(table)?;
-        let schema = entry.source.schema();
-        for row in rows {
-            schema.check_row(row.values())?;
-        }
+        let entry = self.checked_entry(table, rows)?;
+        self.commit_epoch(pipeline, epoch, || {
+            self.bulk_commit(table, &entry, rows, |dist_logged| Redo::Ingest {
+                pipeline: pipeline.to_string(),
+                epoch,
+                table: table.to_string(),
+                rows: (!dist_logged).then_some(Cow::Borrowed(rows)),
+            })
+            .map(|cid| (cid, rows.len()))
+        })
+    }
+
+    /// Commit `epoch` of `pipeline` exactly once: under the epoch fence,
+    /// an epoch the ledger already covers is deduplicated; otherwise
+    /// `apply` commits the epoch's rows, returning the commit ID and
+    /// the row count, and the ledger advances.
+    fn commit_epoch(
+        &self,
+        pipeline: &str,
+        epoch: u64,
+        apply: impl FnOnce() -> Result<(u64, usize)>,
+    ) -> Result<IngestCommit> {
         let _fence = self.ingest.fence();
         let last = self.ingest.last_epoch(pipeline);
+        let reg = hana_obs::registry();
         if epoch <= last {
-            hana_obs::registry()
-                .counter("hana_ingest_epochs_deduped_total")
-                .inc();
+            reg.counter("hana_ingest_epochs_deduped_total").inc();
             return Ok(IngestCommit::Deduplicated { last_epoch: last });
         }
-        let txn = self.tm.begin();
-        let dist_logged = match self.bulk_buffer(&txn, table, &entry, rows) {
-            Ok(d) => d,
-            Err(e) => {
-                // Abort so a chunk-level or batch-level retry of the
-                // same epoch starts from a clean slate.
-                let _ = self.tm.abort(txn, &self.participants());
-                return Err(e);
-            }
-        };
-        let payload = if dist_logged {
-            format!("{INGEST_DIST_MARKER}{pipeline}\u{1}{epoch}\u{1}{table}")
-        } else {
-            format!(
-                "{INGEST_MARKER}{pipeline}\u{1}{epoch}\u{1}{table}\u{1}{}",
-                encode_rows(rows)
-            )
-        };
-        let tid = txn.tid;
-        if let Err(e) = self.tm.log_data(tid, "ingest", &payload) {
-            let _ = self.tm.abort(txn, &self.participants());
-            return Err(e);
-        }
-        let receipt = self.tm.commit(txn, &self.participants())?;
-        if dist_logged {
-            if let TableSource::Distributed(dt) = &entry.source {
-                dt.log_commit(tid, receipt.cid);
-            }
-        }
+        let (cid, rows) = apply()?;
         self.ingest.note(pipeline, epoch);
-        hana_obs::registry()
-            .counter("hana_ingest_epochs_committed_total")
-            .inc();
-        hana_obs::registry()
-            .counter("hana_ingest_rows_committed_total")
-            .add(rows.len() as u64);
-        Ok(IngestCommit::Committed { cid: receipt.cid })
+        reg.counter("hana_ingest_epochs_committed_total").inc();
+        reg.counter("hana_ingest_rows_committed_total")
+            .add(rows as u64);
+        Ok(IngestCommit::Committed { cid })
     }
 
     /// The highest committed epoch of an ingest pipeline (`0` = none).
@@ -1610,8 +1464,6 @@ impl HanaPlatform {
                 },
             );
         }
-        self.tm
-            .log_data(txn.tid, "hana", &format!("-- aging {table}"))?;
         self.tm.commit(txn, &self.participants())?;
         Ok(victims.len())
     }
@@ -1740,8 +1592,9 @@ impl HanaPlatform {
                 TableSource::Virtual { .. } => continue, // remote data
             };
             let indexes = match &entry.source {
-                TableSource::Column(t) => t.read().index_defs(),
-                TableSource::Hybrid { hot, .. } => hot.read().index_defs(),
+                TableSource::Column(t) | TableSource::Hybrid { hot: t, .. } => {
+                    t.read().index_defs()
+                }
                 _ => Vec::new(),
             };
             entries.push(BackupEntry {
@@ -1784,25 +1637,20 @@ impl HanaPlatform {
                     primary_key: false,
                 })
                 .collect();
-            let (kind, extended) = match &e.kind {
-                TableKindInfo::Column
-                | TableKindInfo::Virtual
-                | TableKindInfo::Distributed { .. } => (TableKind::Column, None),
-                TableKindInfo::Row => (TableKind::Row, None),
-                TableKindInfo::Extended => (
-                    TableKind::Column,
-                    Some(hana_sql::ExtendedSpec {
-                        hybrid: false,
-                        aging_column: None,
-                    }),
-                ),
-                TableKindInfo::Hybrid { aging_column, .. } => (
-                    TableKind::Column,
-                    Some(hana_sql::ExtendedSpec {
-                        hybrid: true,
-                        aging_column: Some(aging_column.clone()),
-                    }),
-                ),
+            let kind = match &e.kind {
+                TableKindInfo::Row => TableKind::Row,
+                _ => TableKind::Column,
+            };
+            let extended = match &e.kind {
+                TableKindInfo::Extended => Some(hana_sql::ExtendedSpec {
+                    hybrid: false,
+                    aging_column: None,
+                }),
+                TableKindInfo::Hybrid { aging_column, .. } => Some(hana_sql::ExtendedSpec {
+                    hybrid: true,
+                    aging_column: Some(aging_column.clone()),
+                }),
+                _ => None,
             };
             let partition = match &e.kind {
                 TableKindInfo::Distributed { partition } => Some(partition.clone()),
@@ -1818,27 +1666,20 @@ impl HanaPlatform {
             if !e.rows.is_empty() {
                 self.load_rows(session, &e.name, &e.rows)?;
             }
-            if !e.indexes.is_empty() {
-                let entry = self.catalog.table(&e.name)?;
+            let source = self.catalog.table(&e.name)?.source;
+            if let TableSource::Column(t) | TableSource::Hybrid { hot: t, .. } = &source {
                 for ix in &e.indexes {
-                    match &entry.source {
-                        TableSource::Column(t) => t.write().create_index(&ix.name, &ix.columns)?,
-                        TableSource::Hybrid { hot, .. } => {
-                            hot.write().create_index(&ix.name, &ix.columns)?
-                        }
-                        _ => {}
-                    }
+                    t.write().create_index(&ix.name, &ix.columns)?;
                 }
             }
-            if !e.cold_rows.is_empty() {
+            if let (TableSource::Hybrid { cold_table, .. }, false) =
+                (&source, e.cold_rows.is_empty())
+            {
                 // Straight into the cold partition.
-                let entry = self.catalog.table(&e.name)?;
-                if let TableSource::Hybrid { cold_table, .. } = &entry.source {
-                    let txn = self.tm.begin();
-                    self.iq
-                        .buffer_insert(txn.tid, cold_table, e.cold_rows.clone())?;
-                    self.tm.commit(txn, &self.participants())?;
-                }
+                let txn = self.tm.begin();
+                self.iq
+                    .buffer_insert(txn.tid, cold_table, e.cold_rows.clone())?;
+                self.tm.commit(txn, &self.participants())?;
             }
         }
         Ok(())
@@ -1850,14 +1691,10 @@ impl HanaPlatform {
     /// statements.
     pub fn recover_replay(path: &Path, upto_cid: Option<u64>) -> Result<(HanaPlatform, usize)> {
         let wal = hana_txn::Wal::with_file(path)?;
-        let report = match upto_cid {
-            Some(cid) => wal.recover_to(cid),
-            None => wal.recover(),
-        };
-        let committed: HashMap<u64, u64> = report.committed.iter().copied().collect();
+        let report = wal.recover_to(upto_cid.unwrap_or(u64::MAX));
         let platform = HanaPlatform::new_in_memory();
         let session = platform.connect("SYSTEM", "manager")?;
-        let replayed = platform.replay_records(&session, &wal, &committed, 0)?;
+        let replayed = platform.replay_records(&session, &wal, &report, 0)?;
         Ok((platform, replayed))
     }
 
@@ -1874,13 +1711,12 @@ impl HanaPlatform {
     ) -> Result<usize> {
         self.security.check(session, Privilege::Operate)?;
         let report = wal.recover();
-        let committed: HashMap<u64, u64> = report.committed.iter().copied().collect();
         let own = Arc::clone(self.tm.wal());
         let replaying_own_log = std::ptr::eq(own.as_ref(), wal as *const _);
         if replaying_own_log {
             own.set_passive(true);
         }
-        let result = self.replay_records(session, wal, &committed, after_cid);
+        let result = self.replay_records(session, wal, &report, after_cid);
         if replaying_own_log {
             own.set_passive(false);
         }
@@ -1888,20 +1724,22 @@ impl HanaPlatform {
     }
 
     /// Shared redo loop: walk `wal`'s data records, keep those of
-    /// committed transactions past `after_cid`, and re-apply each
-    /// through the normal execution path (bulk loads through
-    /// [`load_rows`](Self::load_rows), distributed-load markers through
-    /// partition-log redo, everything else as SQL).
+    /// transactions `report` counts as committed past `after_cid`, and
+    /// re-apply each [`Redo`] through the normal execution path:
+    /// statements as SQL, inline rows through [`load_rows`](Self::load_rows)
+    /// or the ingest commit, partition-logged rows through partition-log
+    /// redo.
     fn replay_records(
         &self,
         session: &Session,
         wal: &hana_txn::Wal,
-        committed: &HashMap<u64, u64>,
+        report: &hana_txn::RecoveryReport,
         after_cid: u64,
     ) -> Result<usize> {
+        let committed: HashMap<u64, u64> = report.committed.iter().copied().collect();
         let mut replayed = 0usize;
         for rec in wal.records() {
-            let hana_txn::LogRecord::Data { tid, payload, .. } = rec else {
+            let hana_txn::LogRecord::Data { tid, payload } = rec else {
                 continue;
             };
             let Some(&cid) = committed.get(&tid) else {
@@ -1910,95 +1748,68 @@ impl HanaPlatform {
             if cid <= after_cid {
                 continue;
             }
-            if let Some(table) = payload.strip_prefix(DIST_LOAD_MARKER) {
-                // The coordinator log only holds a marker; the rows live
-                // in the table's per-partition logs. Allocate a fresh
-                // commit ID for the redone rows, then pull them in.
-                let entry = self.catalog.table(table)?;
-                let TableSource::Distributed(dt) = &entry.source else {
-                    return Err(HanaError::Io(format!(
-                        "DISTLOAD record for non-distributed table '{table}'"
-                    )));
-                };
-                let txn = self.tm.begin();
-                let receipt = self.tm.commit(txn, &[])?;
-                dt.redo_txn(tid, receipt.cid)?;
-                self.refresh_statistics(table)?;
-            } else if let Some(rest) = payload.strip_prefix(INGEST_DIST_MARKER) {
-                // Distributed ingest epoch: rows live in the partition
-                // logs. Replay through the ledger so an epoch that is
-                // already inside the restored checkpoint (or appears
-                // twice in the log) applies exactly once.
-                let (pipeline, epoch, table) = parse_ingest_header(rest)?;
-                let _fence = self.ingest.fence();
-                if epoch <= self.ingest.last_epoch(pipeline) {
-                    hana_obs::registry()
-                        .counter("hana_ingest_epochs_deduped_total")
-                        .inc();
-                    continue;
+            let redo = Redo::decode(&payload, |table| {
+                Ok(self.catalog.table(table)?.source.schema())
+            })?;
+            match redo {
+                Redo::Stmt(sql) => {
+                    self.execute_sql(session, &sql)?;
                 }
-                let entry = self.catalog.table(table)?;
-                let TableSource::Distributed(dt) = &entry.source else {
-                    return Err(HanaError::Io(format!(
-                        "INGESTD record for non-distributed table '{table}'"
-                    )));
-                };
-                let txn = self.tm.begin();
-                let receipt = self.tm.commit(txn, &[])?;
-                dt.redo_txn(tid, receipt.cid)?;
-                self.ingest.note(pipeline, epoch);
-                hana_obs::registry()
-                    .counter("hana_ingest_epochs_replayed_total")
-                    .inc();
-            } else if let Some(rest) = payload.strip_prefix(INGEST_MARKER) {
-                let (pipeline, epoch, rest) = {
-                    let mut parts = rest.splitn(4, '\u{1}');
-                    let (Some(p), Some(e), Some(t), Some(rows_text)) =
-                        (parts.next(), parts.next(), parts.next(), parts.next())
-                    else {
-                        return Err(HanaError::Io("corrupt INGEST record".into()));
+                Redo::Load { table, rows } => {
+                    self.load_rows(session, &table, &rows)?;
+                }
+                Redo::DistLoad { table } => {
+                    // The rows live in the table's partition logs.
+                    // Allocate a fresh commit ID for them, then pull
+                    // them in.
+                    self.redo_partition_rows(tid, &table)?;
+                    self.refresh_statistics(&table)?;
+                }
+                Redo::Ingest {
+                    pipeline,
+                    epoch,
+                    table,
+                    rows,
+                } => {
+                    // Through the ledger, so an epoch already inside the
+                    // restored checkpoint (or logged twice) applies
+                    // exactly once. With the WAL passive, nothing is
+                    // logged a second time.
+                    let outcome = match rows {
+                        Some(rows) => {
+                            self.commit_ingest_batch(session, &pipeline, epoch, &table, &rows)?
+                        }
+                        None => self.commit_epoch(&pipeline, epoch, || {
+                            self.redo_partition_rows(tid, &table)
+                        })?,
                     };
-                    let epoch: u64 = e
-                        .parse()
-                        .map_err(|_| HanaError::Io("corrupt INGEST epoch".into()))?;
-                    (p, epoch, (t, rows_text))
-                };
-                let (table, rows_text) = rest;
-                let schema = self.catalog.table(table)?.source.schema();
-                let rows: Vec<Row> = rows_text
-                    .split(ROW_SEP)
-                    .filter(|s| !s.is_empty())
-                    .map(|line| parse_load_row(line, &schema))
-                    .collect::<Result<_>>()?;
-                // The normal commit path dedups against the ledger and,
-                // with the WAL passive, logs nothing a second time.
-                match self.commit_ingest_batch(session, pipeline, epoch, table, &rows)? {
-                    IngestCommit::Committed { .. } => {
-                        hana_obs::registry()
-                            .counter("hana_ingest_epochs_replayed_total")
-                            .inc();
+                    if let IngestCommit::Deduplicated { .. } = outcome {
+                        continue;
                     }
-                    IngestCommit::Deduplicated { .. } => continue,
+                    hana_obs::registry()
+                        .counter("hana_ingest_epochs_replayed_total")
+                        .inc();
                 }
-            } else if payload.starts_with("--") {
-                continue; // structural marker, nothing to redo
-            } else if let Some(rest) = payload.strip_prefix("LOAD\u{1}") {
-                let (table, rows_text) = rest
-                    .split_once('\u{1}')
-                    .ok_or_else(|| HanaError::Io("corrupt LOAD record".into()))?;
-                let schema = self.catalog.table(table)?.source.schema();
-                let rows: Vec<Row> = rows_text
-                    .split(ROW_SEP)
-                    .filter(|s| !s.is_empty())
-                    .map(|line| parse_load_row(line, &schema))
-                    .collect::<Result<_>>()?;
-                self.load_rows(session, table, &rows)?;
-            } else {
-                self.execute_sql(session, &payload)?;
             }
             replayed += 1;
         }
         Ok(replayed)
+    }
+
+    /// Redo transaction `tid`'s rows from distributed `table`'s
+    /// partition logs under a freshly allocated commit ID. Returns that
+    /// commit ID and the number of rows applied.
+    fn redo_partition_rows(&self, tid: u64, table: &str) -> Result<(u64, usize)> {
+        let entry = self.catalog.table(table)?;
+        let TableSource::Distributed(dt) = &entry.source else {
+            return Err(HanaError::Io(format!(
+                "corrupt redo record: partition-logged rows for non-distributed table '{table}'"
+            )));
+        };
+        let txn = self.tm.begin();
+        let receipt = self.tm.commit(txn, &[])?;
+        let applied = dt.redo_txn(tid, receipt.cid)?;
+        Ok((receipt.cid, applied))
     }
 
     /// Landscape summary (single administration interface, §2).
@@ -2026,26 +1837,30 @@ impl HanaPlatform {
     }
 }
 
-/// Resolve matching row IDs of a column table at statement time.
+/// Row IDs and images of the rows of a column table visible at `cid`
+/// that match `filter`, resolved at statement time.
 fn matching_column_rows(
     table: &ColumnTable,
     filter: Option<&Expr>,
     cid: u64,
-) -> Result<Vec<usize>> {
-    let schema = table.schema().clone();
-    let visible = table.visible(cid);
+) -> Result<Vec<(usize, Row)>> {
+    let width = table.schema().len();
     let mut out = Vec::new();
-    for row_id in visible.iter() {
-        let row = Row::from_values((0..schema.len()).map(|c| table.value(row_id, c)));
-        let keep = match filter {
-            None => true,
-            Some(f) => evaluate_predicate(f, &schema, &row)?,
-        };
-        if keep {
-            out.push(row_id);
+    for row_id in table.visible(cid).iter() {
+        let row = Row::from_values((0..width).map(|c| table.value(row_id, c)));
+        if filter.map_or(Ok(true), |f| evaluate_predicate(f, table.schema(), &row))? {
+            out.push((row_id, row));
         }
     }
     Ok(out)
+}
+
+/// Slots of the rows of a row table visible at `cid` that match
+/// `filter`, resolved at statement time.
+fn matching_row_slots(table: &RowTable, filter: Option<&Expr>, cid: u64) -> Result<Vec<usize>> {
+    table.slots_matching(hana_txn::Snapshot::at(cid), |row| {
+        filter.map_or(Ok(true), |f| evaluate_predicate(f, table.schema(), row))
+    })
 }
 
 /// Translate the parsed `PARTITION BY` clause into a runtime spec.
@@ -2088,40 +1903,6 @@ fn count_result(n: usize) -> ResultSet {
         Schema::of(&[("rows_affected", DataType::BigInt)]),
         vec![Row::from_values([Value::Int(n as i64)])],
     )
-}
-
-/// Split the `pipeline \u{1} epoch \u{1} table` header of an INGESTD
-/// payload.
-fn parse_ingest_header(rest: &str) -> Result<(&str, u64, &str)> {
-    let mut parts = rest.splitn(3, '\u{1}');
-    let (Some(pipeline), Some(epoch), Some(table)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Err(HanaError::Io("corrupt INGESTD record".into()));
-    };
-    let epoch = epoch
-        .parse()
-        .map_err(|_| HanaError::Io("corrupt INGESTD epoch".into()))?;
-    Ok((pipeline, epoch, table))
-}
-
-/// Delimit rows for a WAL payload (inverse of [`parse_load_row`]).
-fn encode_rows(rows: &[Row]) -> String {
-    rows.iter()
-        .map(|r| r.to_delimited('\u{1f}'))
-        .collect::<Vec<_>>()
-        .join(&ROW_SEP.to_string())
-}
-
-fn parse_load_row(line: &str, schema: &Schema) -> Result<Row> {
-    let fields: Vec<&str> = line.split('\u{1f}').collect();
-    if fields.len() != schema.len() {
-        return Err(HanaError::Io("corrupt LOAD row".into()));
-    }
-    let mut vals = Vec::with_capacity(fields.len());
-    for (f, c) in fields.iter().zip(schema.columns()) {
-        vals.push(Value::parse_typed(f, c.data_type)?);
-    }
-    Ok(Row(vals))
 }
 
 /// Split a script on semicolons outside string literals, so each

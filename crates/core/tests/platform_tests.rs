@@ -62,6 +62,28 @@ fn row_table_with_primary_key() {
         .execute_sql(&s, "SELECT COUNT(*) FROM accounts")
         .unwrap();
     assert_eq!(rs.scalar().unwrap(), &Value::Int(1));
+    // A predicate that cannot be evaluated fails DML on a row table
+    // just as it fails a SELECT or DML on a column table.
+    hana.execute_sql(&s, "CREATE COLUMN TABLE c (k INTEGER, s VARCHAR(8))")
+        .unwrap();
+    hana.execute_sql(&s, "CREATE ROW TABLE r (k INTEGER, s VARCHAR(8))")
+        .unwrap();
+    for table in ["c", "r"] {
+        hana.execute_sql(&s, &format!("INSERT INTO {table} VALUES (1, 'a')"))
+            .unwrap();
+        for sql in [
+            format!("SELECT k FROM {table} WHERE s + 1 > 0"),
+            format!("DELETE FROM {table} WHERE s + 1 > 0"),
+            format!("UPDATE {table} SET k = 2 WHERE s + 1 > 0"),
+        ] {
+            let err = hana.execute_sql(&s, &sql).unwrap_err();
+            assert!(err.to_string().contains("cannot apply '+'"), "{sql}: {err}");
+        }
+        let rs = hana
+            .execute_sql(&s, &format!("SELECT k FROM {table}"))
+            .unwrap();
+        assert_eq!(rs.rows, vec![Row::from_values([Value::Int(1)])], "{table}");
+    }
 }
 
 #[test]

@@ -23,12 +23,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hana_txn::{LogRecord, Wal};
-use hana_types::{HanaError, Result, Row, Value};
+use hana_types::codec::{Reader, Writer};
+use hana_types::{Result, Value};
 
 use crate::table::DistTable;
-
-/// Field separator inside one partition redo payload.
-const FIELD_SEP: char = '\u{1f}';
 
 /// One WAL per node of a distributed table.
 pub struct PartitionWals {
@@ -37,26 +35,9 @@ pub struct PartitionWals {
 }
 
 impl PartitionWals {
-    /// Open (or create) one log per partition under `dir`.
-    pub fn open(dir: &Path, partitions: usize) -> Result<PartitionWals> {
-        let mut wals = Vec::with_capacity(partitions);
-        for p in 0..partitions {
-            wals.push(Arc::new(Wal::open_dir(&dir.join(format!("part-{p:03}")))?));
-        }
-        Ok(PartitionWals {
-            dir: dir.to_path_buf(),
-            wals,
-        })
-    }
-
     /// Root directory of the partition logs.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The per-partition logs, index = partition number.
-    pub fn wals(&self) -> &[Arc<Wal>] {
-        &self.wals
     }
 }
 
@@ -66,7 +47,11 @@ impl DistTable {
     pub fn attach_wal(&self, dir: &Path) -> Result<()> {
         let mut slot = self.wal_slot().write();
         if slot.is_none() {
-            *slot = Some(Arc::new(PartitionWals::open(dir, self.node_count())?));
+            let wals = (0..self.node_count())
+                .map(|p| Wal::open_dir(&dir.join(format!("part-{p:03}"))).map(Arc::new))
+                .collect::<Result<_>>()?;
+            let dir = dir.to_path_buf();
+            *slot = Some(Arc::new(PartitionWals { dir, wals }));
         }
         Ok(())
     }
@@ -89,10 +74,11 @@ impl DistTable {
             return Ok(());
         };
         let node = self.route(row);
+        let mut w = Writer::default();
+        w.row(row);
         wals.wals[node].append(LogRecord::Data {
             tid,
-            engine: "dist".into(),
-            payload: Row(row.to_vec()).to_delimited(FIELD_SEP),
+            payload: w.into_bytes(),
         })
     }
 
@@ -133,26 +119,16 @@ impl DistTable {
         let mut applied = 0usize;
         for (node, wal) in wals.wals.iter().enumerate() {
             for rec in wal.records() {
-                let LogRecord::Data {
-                    tid: t, payload, ..
-                } = rec
-                else {
+                let LogRecord::Data { tid: t, payload } = rec else {
                     continue;
                 };
                 if t != tid {
                     continue;
                 }
-                let fields: Vec<&str> = payload.split(FIELD_SEP).collect();
-                if fields.len() != schema.len() {
-                    return Err(HanaError::Io(format!(
-                        "corrupt partition redo record for txn {tid} on node {node}"
-                    )));
-                }
-                let mut vals = Vec::with_capacity(fields.len());
-                for (f, c) in fields.iter().zip(schema.columns()) {
-                    vals.push(Value::parse_typed(f, c.data_type)?);
-                }
-                self.nodes()[node].insert(&vals, cid)?;
+                let mut r = Reader::new(&payload);
+                let row = r.row(&schema)?;
+                r.finish()?;
+                self.nodes()[node].insert(row.values(), cid)?;
                 applied += 1;
             }
         }

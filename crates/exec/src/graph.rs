@@ -197,10 +197,12 @@ impl TaskGraph {
             panic: Mutex::new(None),
         });
 
-        for idx in 0..n {
-            if state.deps[idx].load(Ordering::Acquire) == 0 {
-                schedule(Arc::clone(&state), Arc::clone(pool), idx);
-            }
+        // Roots are fixed before anything runs: a task whose last
+        // dependency finishes while roots are still being submitted is
+        // scheduled by that dependency and must not be scheduled twice.
+        let roots: Vec<usize> = (0..n).filter(|&i| self.nodes[i].deps == 0).collect();
+        for idx in roots {
+            schedule(Arc::clone(&state), Arc::clone(pool), idx);
         }
 
         let mut remaining = state.remaining.lock().unwrap();
@@ -259,6 +261,27 @@ mod tests {
         assert_eq!(order.len(), 4);
         assert_eq!(order[0], "src");
         assert_eq!(order[3], "sink");
+    }
+
+    #[test]
+    fn a_dependent_of_a_fast_root_runs_once() {
+        // Many roots between `first` and `last` give `first` time to
+        // finish and schedule `last` while roots are still submitted.
+        let pool = WorkerPool::new(2);
+        for _ in 0..20 {
+            let runs = Arc::new(AtomicUsize::new(0));
+            let mut g = TaskGraph::new();
+            let first = g.add_task("first", || ());
+            for _ in 0..200 {
+                g.add_task("root", || ());
+            }
+            let r = Arc::clone(&runs);
+            g.add_task_after("last", &[first], move || {
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+            g.run_to_completion(&pool).unwrap();
+            assert_eq!(runs.load(Ordering::SeqCst), 1);
+        }
     }
 
     #[test]

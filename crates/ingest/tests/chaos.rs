@@ -228,6 +228,15 @@ fn crash_recovery_replays_epochs_exactly_once() {
             "epoch {e} must dedup, got {c:?}"
         );
     }
+    // A re-delivered epoch is still validated: an unknown table or a
+    // row that does not fit the schema is an error, not a dedup.
+    assert!(hana
+        .commit_ingest_batch(&s, "feed", 1, "missing", &epoch_rows(1))
+        .is_err());
+    let misfit = [Row::from_values([Value::from("k"), Value::Int(1)])];
+    assert!(hana
+        .commit_ingest_batch(&s, "feed", 1, "t", &misfit)
+        .is_err());
     // The stream then moves on.
     let c = hana
         .commit_ingest_batch(&s, "feed", 4, "t", &epoch_rows(4))

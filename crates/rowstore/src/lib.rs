@@ -199,15 +199,20 @@ impl RowTable {
     }
 
     /// Slots of visible rows matching `pred` (for buffered DML: resolve
-    /// at statement time, delete at commit time).
-    pub fn slots_matching(&self, snapshot: Snapshot, pred: impl Fn(&Row) -> bool) -> Vec<usize> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| snapshot.visible(r.created, r.deleted))
-            .filter(|(_, r)| pred(&r.values))
-            .map(|(i, _)| i)
-            .collect()
+    /// at statement time, delete at commit time). The first error `pred`
+    /// returns is the result.
+    pub fn slots_matching(
+        &self,
+        snapshot: Snapshot,
+        mut pred: impl FnMut(&Row) -> Result<bool>,
+    ) -> Result<Vec<usize>> {
+        let mut out = Vec::new();
+        for (i, r) in self.rows.iter().enumerate() {
+            if snapshot.visible(r.created, r.deleted) && pred(&r.values)? {
+                out.push(i);
+            }
+        }
+        Ok(out)
     }
 
     /// The values stored in `slot` (regardless of visibility).

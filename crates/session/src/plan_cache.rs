@@ -10,7 +10,9 @@
 //!
 //! Counters in the global `hana-obs` registry:
 //! `hana_session_plan_cache_{hits,misses,evictions,invalidations}_total`
-//! and the `hana_session_plan_cache_entries` gauge.
+//! and the `hana_session_plan_cache_entries` gauge. Hits and misses are
+//! also counted per cache ([`PlanCache::hits_and_misses`]), which other
+//! caches in the same process cannot move.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,6 +36,9 @@ struct CacheState {
     seen_version: u64,
     /// Logical clock for LRU ordering.
     tick: u64,
+    /// Lookups of this cache that hit, and that missed.
+    hits: u64,
+    misses: u64,
 }
 
 /// Shared, version-aware LRU plan cache.
@@ -51,6 +56,8 @@ impl PlanCache {
                 entries: HashMap::new(),
                 seen_version: 0,
                 tick: 0,
+                hits: 0,
+                misses: 0,
             }),
         }
     }
@@ -80,6 +87,11 @@ impl PlanCache {
             }
             _ => None,
         };
+        if hit.is_some() {
+            st.hits += 1;
+        } else {
+            st.misses += 1;
+        }
         obs.gauge("hana_session_plan_cache_entries")
             .set(st.entries.len() as i64);
         drop(st);
@@ -123,6 +135,12 @@ impl PlanCache {
         );
         obs.gauge("hana_session_plan_cache_entries")
             .set(st.entries.len() as i64);
+    }
+
+    /// Lookups of this cache that hit and that missed, since creation.
+    pub fn hits_and_misses(&self) -> (u64, u64) {
+        let st = self.state.lock();
+        (st.hits, st.misses)
     }
 
     /// Number of cached plans.
@@ -179,6 +197,7 @@ mod tests {
         cache.insert("q1".into(), 1, plan(10.0));
         let hit = cache.get("q1", 1).expect("hit");
         assert_eq!(hit.est_rows, 10.0);
+        assert_eq!(cache.hits_and_misses(), (1, 1));
     }
 
     #[test]

@@ -80,13 +80,6 @@ impl TransactionManager {
         )))
     }
 
-    /// A manager over a segmented log directory.
-    pub fn with_log_dir(dir: &Path) -> Result<TransactionManager> {
-        Ok(TransactionManager::with_shared_wal(Arc::new(
-            Wal::open_dir(dir)?,
-        )))
-    }
-
     /// A manager sharing `wal` with other components (the platform holds
     /// a handle for data logging and checkpoints).
     pub fn with_shared_wal(wal: Arc<Wal>) -> TransactionManager {
@@ -139,12 +132,8 @@ impl TransactionManager {
     /// Append a logical redo record for `tid`. The record is not
     /// individually fsynced — it becomes durable with (and strictly
     /// before) the transaction's commit record, which is all redo needs.
-    pub fn log_data(&self, tid: u64, engine: &str, payload: &str) -> Result<()> {
-        self.wal.append(LogRecord::Data {
-            tid,
-            engine: engine.to_string(),
-            payload: payload.to_string(),
-        })
+    pub fn log_data(&self, tid: u64, payload: Vec<u8>) -> Result<()> {
+        self.wal.append(LogRecord::Data { tid, payload })
     }
 
     /// Durably checkpoint `payload`, an opaque engine snapshot covering
@@ -287,11 +276,6 @@ impl TransactionManager {
         let report = self.wal.recover();
         *self.in_doubt.lock() = report.in_doubt.clone();
         report
-    }
-
-    /// Point-in-time variant of [`TransactionManager::recover`].
-    pub fn recover_to(&self, cid: u64) -> RecoveryReport {
-        self.wal.recover_to(cid)
     }
 
     /// Currently known in-doubt transactions.

@@ -6,61 +6,38 @@
 //! Write protocol: serialize into a temp file, fsync it, rename into
 //! place, fsync the directory — a crash leaves either the old set of
 //! checkpoints or the old set plus one complete new file, never a
-//! half-written one that validates. The content is one CRC-framed blob,
-//! so a damaged file is detected and skipped at load time.
+//! half-written one that validates. The content is one CRC-framed
+//! blob — `cid`, `max_tid` and the snapshot in codec encoding — so a
+//! damaged file is detected and skipped at load time.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use hana_types::codec::{corrupt, Reader, Writer};
 use hana_types::Result;
 
 use super::frame::{decode_frame, encode_frame, FrameOutcome};
-use super::segment::sync_dir;
-
-/// One loaded checkpoint.
-pub(crate) struct CheckpointData {
-    /// Commit ID the snapshot was taken at: every commit `<= cid` is in
-    /// the snapshot; recovery replays only commits past it.
-    pub cid: u64,
-    /// Highest transaction ID allocated when the snapshot was taken
-    /// (lets TID allocation resume without rescanning a pruned prefix).
-    pub max_tid: u64,
-    /// Opaque engine snapshot.
-    pub payload: Vec<u8>,
-}
+use super::segment::{numbered_files, sync_dir};
+use super::WalCheckpoint;
 
 fn checkpoint_name(seq: u64) -> String {
     format!("checkpoint-{seq:06}.ckpt")
 }
 
-/// List checkpoint files, newest sequence first.
-pub(crate) fn list(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(seq) = name
-                .strip_prefix("checkpoint-")
-                .and_then(|s| s.strip_suffix(".ckpt"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                found.push((seq, entry.path()));
-            }
-        }
-    }
-    found.sort_unstable_by_key(|&(seq, _)| std::cmp::Reverse(seq));
-    found
+/// Checkpoint files, oldest sequence first.
+fn list(dir: &Path) -> Vec<(u64, PathBuf)> {
+    numbered_files(dir, "checkpoint-", ".ckpt").unwrap_or_default()
 }
 
 /// Durably write checkpoint `seq`.
 pub(crate) fn write(dir: &Path, seq: u64, cid: u64, max_tid: u64, payload: &[u8]) -> Result<()> {
     fs::create_dir_all(dir)?;
-    let mut body = Vec::with_capacity(payload.len() + 16);
-    body.extend_from_slice(&cid.to_le_bytes());
-    body.extend_from_slice(&max_tid.to_le_bytes());
-    body.extend_from_slice(payload);
+    let mut body = Writer::default();
+    body.uint(cid);
+    body.uint(max_tid);
+    body.bytes(payload);
+    let body = body.into_bytes();
     let mut framed = Vec::with_capacity(body.len() + 8);
     encode_frame(&body, &mut framed);
     let tmp = dir.join(format!(".checkpoint-{seq:06}.tmp"));
@@ -88,8 +65,8 @@ pub(crate) fn write(dir: &Path, seq: u64, cid: u64, max_tid: u64, payload: &[u8]
 /// truncation removes the log tail after the sidecar was written): a
 /// checkpoint is only trusted once the log itself proves commits up to
 /// its `cid` were durable. Damaged sidecars are skipped with a warning.
-pub(crate) fn load_latest(dir: &Path, cid_limit: u64) -> Option<CheckpointData> {
-    for (_seq, path) in list(dir) {
+pub(crate) fn load_latest(dir: &Path, cid_limit: u64) -> Option<WalCheckpoint> {
+    for (_seq, path) in list(dir).into_iter().rev() {
         let mut bytes = Vec::new();
         let Ok(mut f) = File::open(&path) else {
             continue;
@@ -97,35 +74,34 @@ pub(crate) fn load_latest(dir: &Path, cid_limit: u64) -> Option<CheckpointData> 
         if f.read_to_end(&mut bytes).is_err() {
             continue;
         }
-        let FrameOutcome::Complete { payload, .. } = decode_frame(&bytes) else {
-            hana_obs::warn(format!(
-                "ignoring damaged checkpoint sidecar {}",
-                path.display()
-            ));
-            continue;
+        let ckpt = match decode_frame(&bytes) {
+            FrameOutcome::Complete { payload, .. } => decode(payload),
+            _ => Err(corrupt("checkpoint frame")),
         };
-        if payload.len() < 16 {
-            hana_obs::warn(format!(
-                "ignoring short checkpoint sidecar {}",
+        match ckpt {
+            Ok(ckpt) if ckpt.cid <= cid_limit => return Some(ckpt),
+            Ok(_) => {}
+            Err(e) => hana_obs::warn(format!(
+                "ignoring damaged checkpoint sidecar {}: {e}",
                 path.display()
-            ));
-            continue;
+            )),
         }
-        let cid = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let max_tid = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-        if cid > cid_limit {
-            continue;
-        }
-        return Some(CheckpointData {
-            cid,
-            max_tid,
-            payload: payload[16..].to_vec(),
-        });
     }
     None
 }
 
+fn decode(body: &[u8]) -> Result<WalCheckpoint> {
+    let mut r = Reader::new(body);
+    let ckpt = WalCheckpoint {
+        cid: r.uint()?,
+        max_tid: r.uint()?,
+        payload: r.bytes()?.to_vec(),
+    };
+    r.finish()?;
+    Ok(ckpt)
+}
+
 /// Highest checkpoint sequence on disk (0 when none).
 pub(crate) fn max_seq(dir: &Path) -> u64 {
-    list(dir).first().map(|&(s, _)| s).unwrap_or(0)
+    list(dir).last().map_or(0, |&(s, _)| s)
 }

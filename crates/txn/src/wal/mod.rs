@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use hana_types::codec::{corrupt, Reader, Writer};
 use hana_types::{HanaError, Result};
 
 use self::frame::encode_frame;
@@ -38,15 +39,9 @@ use self::segment::{LogWriter, Storage, DEFAULT_SEGMENT_BYTES};
 pub enum LogRecord {
     /// Transaction `tid` started.
     Begin { tid: u64 },
-    /// A logical redo record (engine, table, operation payload).
-    Data {
-        /// Transaction writing the data.
-        tid: u64,
-        /// Target engine ("hana" or an extended-storage name).
-        engine: String,
-        /// Serialized logical operation.
-        payload: String,
-    },
+    /// A logical redo record, opaque to the log: the engine that wrote
+    /// it encodes and decodes the payload with `hana_types::codec`.
+    Data { tid: u64, payload: Vec<u8> },
     /// Participant `participant` voted yes for `tid` (phase 1).
     Prepare { tid: u64, participant: String },
     /// Coordinator committed `tid` with commit ID `cid`. This record is
@@ -72,53 +67,63 @@ impl LogRecord {
         }
     }
 
-    fn serialize(&self) -> String {
+    /// The frame payload: a kind byte, then the record's fields.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
         match self {
-            LogRecord::Begin { tid } => format!("B\t{tid}"),
-            LogRecord::Data {
-                tid,
-                engine,
-                payload,
-            } => format!("D\t{tid}\t{engine}\t{}", payload.replace('\n', "\\n")),
-            LogRecord::Prepare { tid, participant } => format!("P\t{tid}\t{participant}"),
-            LogRecord::Commit { tid, cid } => format!("C\t{tid}\t{cid}"),
-            LogRecord::Abort { tid } => format!("A\t{tid}"),
-            LogRecord::Checkpoint { cid } => format!("K\t0\t{cid}"),
+            LogRecord::Begin { tid } => {
+                w.u8(b'B');
+                w.uint(*tid);
+            }
+            LogRecord::Data { tid, payload } => {
+                w.u8(b'D');
+                w.uint(*tid);
+                w.bytes(payload);
+            }
+            LogRecord::Prepare { tid, participant } => {
+                w.u8(b'P');
+                w.uint(*tid);
+                w.str(participant);
+            }
+            LogRecord::Commit { tid, cid } => {
+                w.u8(b'C');
+                w.uint(*tid);
+                w.uint(*cid);
+            }
+            LogRecord::Abort { tid } => {
+                w.u8(b'A');
+                w.uint(*tid);
+            }
+            LogRecord::Checkpoint { cid } => {
+                w.u8(b'K');
+                w.uint(*cid);
+            }
         }
+        w.into_bytes()
     }
 
-    fn deserialize(line: &str) -> Result<LogRecord> {
-        let mut parts = line.splitn(4, '\t');
-        let bad = || HanaError::Io(format!("corrupt WAL record: '{line}'"));
-        let kind = parts.next().ok_or_else(bad)?;
-        let tid: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        Ok(match kind {
-            "B" => LogRecord::Begin { tid },
-            "D" => LogRecord::Data {
-                tid,
-                engine: parts.next().ok_or_else(bad)?.to_string(),
-                payload: parts.next().ok_or_else(bad)?.replace("\\n", "\n"),
+    fn decode(bytes: &[u8]) -> Result<LogRecord> {
+        let mut r = Reader::new(bytes);
+        let rec = match r.u8()? {
+            b'B' => LogRecord::Begin { tid: r.uint()? },
+            b'D' => LogRecord::Data {
+                tid: r.uint()?,
+                payload: r.bytes()?.to_vec(),
             },
-            "P" => LogRecord::Prepare {
-                tid,
-                participant: parts.next().ok_or_else(bad)?.to_string(),
+            b'P' => LogRecord::Prepare {
+                tid: r.uint()?,
+                participant: r.str()?.to_string(),
             },
-            "C" => LogRecord::Commit {
-                tid,
-                cid: parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?,
+            b'C' => LogRecord::Commit {
+                tid: r.uint()?,
+                cid: r.uint()?,
             },
-            "A" => LogRecord::Abort { tid },
-            "K" => LogRecord::Checkpoint {
-                cid: parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?,
-            },
-            _ => return Err(bad()),
-        })
-    }
-}
-
-impl fmt::Display for LogRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.serialize())
+            b'A' => LogRecord::Abort { tid: r.uint()? },
+            b'K' => LogRecord::Checkpoint { cid: r.uint()? },
+            _ => return Err(corrupt("WAL record kind")),
+        };
+        r.finish()?;
+        Ok(rec)
     }
 }
 
@@ -284,9 +289,7 @@ impl Wal {
         let mut end_offsets = Vec::with_capacity(loaded.payloads.len());
         let mut next_offset = 0u64;
         for p in &loaded.payloads {
-            let text = std::str::from_utf8(&p.payload)
-                .map_err(|_| HanaError::Io("non-UTF-8 WAL record".into()))?;
-            records.push(LogRecord::deserialize(text)?);
+            records.push(LogRecord::decode(&p.payload)?);
             end_offsets.push(p.end_offset);
             next_offset = p.end_offset;
         }
@@ -302,14 +305,7 @@ impl Wal {
             .max()
             .unwrap_or(0);
         let (checkpoint_dir, latest) = match &storage {
-            Storage::Dir(dir) => (
-                Some(dir.clone()),
-                checkpoint::load_latest(dir, cid_limit).map(|c| WalCheckpoint {
-                    cid: c.cid,
-                    max_tid: c.max_tid,
-                    payload: c.payload,
-                }),
-            ),
+            Storage::Dir(dir) => (Some(dir.clone()), checkpoint::load_latest(dir, cid_limit)),
             Storage::SingleFile(_) => (None, None),
         };
         let writer = LogWriter::open(
@@ -428,23 +424,22 @@ impl Wal {
         // The state lock spans mirror push + backend enqueue so the
         // in-memory record order always matches the on-disk byte order.
         let mut st = self.state.lock();
+        if let Backend::Volatile = &self.backend {
+            st.records.push(rec);
+            return DurableTicket(TicketInner::Ready(Ok(())));
+        }
+        let mut framed = Vec::new();
+        encode_frame(&rec.encode(), &mut framed);
         let ticket = match &self.backend {
-            Backend::Volatile => DurableTicket(TicketInner::Ready(Ok(()))),
+            Backend::Volatile => unreachable!("volatile appends returned above"),
             Backend::Grouped(g) => {
-                let mut framed = Vec::new();
-                encode_frame(rec.serialize().as_bytes(), &mut framed);
                 let t = g.enqueue(&framed, durable);
                 if matches!(&t.0, TicketInner::Ready(Err(_))) {
                     return t; // poisoned: nothing was enqueued
                 }
-                st.next_offset += framed.len() as u64;
-                let off = st.next_offset;
-                st.end_offsets.push(off);
                 t
             }
             Backend::Direct(d) => {
-                let mut framed = Vec::new();
-                encode_frame(rec.serialize().as_bytes(), &mut framed);
                 let mut ds = d.lock();
                 if let Some(why) = &ds.poisoned {
                     return DurableTicket(TicketInner::Ready(Err(why.clone())));
@@ -456,22 +451,18 @@ impl Wal {
                         Ok(())
                     }
                 });
-                match result {
-                    Ok(()) => {
-                        st.next_offset += framed.len() as u64;
-                        let off = st.next_offset;
-                        st.end_offsets.push(off);
-                        DurableTicket(TicketInner::Ready(Ok(())))
-                    }
-                    Err(e) => {
-                        let why = format!("WAL append lost: {e}");
-                        ds.poisoned = Some(why.clone());
-                        hana_obs::warn(why.clone());
-                        return DurableTicket(TicketInner::Ready(Err(why)));
-                    }
+                if let Err(e) = result {
+                    let why = format!("WAL append lost: {e}");
+                    ds.poisoned = Some(why.clone());
+                    hana_obs::warn(why.clone());
+                    return DurableTicket(TicketInner::Ready(Err(why)));
                 }
+                DurableTicket(TicketInner::Ready(Ok(())))
             }
         };
+        st.next_offset += framed.len() as u64;
+        let off = st.next_offset;
+        st.end_offsets.push(off);
         st.records.push(rec);
         ticket
     }
@@ -559,20 +550,13 @@ impl Wal {
             Backend::Direct(d) => d.lock().writer.active_seq(),
             Backend::Volatile => return,
         };
+        // Only segments *before* the active one: a concurrent append
+        // may already have rolled to a newer one holding acknowledged
+        // commits.
         let mut pruned = 0u64;
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy().to_string();
-                if let Some(seq) = name
-                    .strip_prefix("wal-")
-                    .and_then(|s| s.strip_suffix(".seg"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    if seq < active_seq && std::fs::remove_file(entry.path()).is_ok() {
-                        pruned += 1;
-                    }
-                }
+        for (seq, path) in segment::segment_files(dir).unwrap_or_default() {
+            if seq < active_seq && std::fs::remove_file(&path).is_ok() {
+                pruned += 1;
             }
         }
         if pruned > 0 {
@@ -703,24 +687,36 @@ mod tests {
     }
 
     #[test]
-    fn record_text_round_trips() {
+    fn records_round_trip_and_reject_damage() {
         let recs = [
             LogRecord::Begin { tid: 3 },
             LogRecord::Data {
                 tid: 3,
-                engine: "hana".into(),
-                payload: "INSERT\nWITH NEWLINE".into(),
+                payload: b"INSERT\nWITH NEWLINE \\n".to_vec(),
             },
             LogRecord::Prepare {
                 tid: 3,
                 participant: "iq".into(),
             },
-            LogRecord::Commit { tid: 3, cid: 9 },
+            LogRecord::Commit {
+                tid: u64::MAX,
+                cid: 9,
+            },
             LogRecord::Abort { tid: 4 },
             LogRecord::Checkpoint { cid: 9 },
         ];
         for rec in recs {
-            assert_eq!(LogRecord::deserialize(&rec.serialize()).unwrap(), rec);
+            let bytes = rec.encode();
+            assert_eq!(LogRecord::decode(&bytes).unwrap(), rec);
+            for cut in 0..bytes.len() {
+                assert!(
+                    LogRecord::decode(&bytes[..cut]).is_err(),
+                    "{rec:?} cut at {cut}"
+                );
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(LogRecord::decode(&longer).is_err(), "trailing byte");
         }
     }
 
@@ -815,6 +811,31 @@ mod tests {
             .collect();
         assert_eq!(to_replay, vec![&(11, 11)]);
         assert_eq!(report.max_committed_cid(), 11);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pruning_keeps_segments_newer_than_the_active_one() {
+        let dir = tmp_dir("ckpt-newer");
+        let cfg = WalConfig {
+            segment_bytes: 64,
+            ..WalConfig::default()
+        };
+        let wal = Wal::open_dir_with(&dir, cfg).unwrap();
+        for tid in 1..=10 {
+            wal.append_durable(LogRecord::Commit { tid, cid: tid })
+                .unwrap();
+        }
+        assert!(wal.segment_paths().len() > 1, "log should have rolled");
+        // Stands in for a segment a concurrent append rolled to after
+        // the checkpoint read the active sequence number.
+        let newer = dir.join(segment::segment_name(999_999));
+        std::fs::write(&newer, b"").unwrap();
+        wal.checkpoint(10, 10, b"snapshot", true).unwrap();
+        let after = wal.segment_paths();
+        assert_eq!(after.len(), 2, "sealed segments pruned: {after:?}");
+        assert_eq!(after[1], newer, "the newer segment survives");
+        drop(wal);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -39,26 +39,40 @@ impl Storage {
             } else {
                 Vec::new()
             }),
-            Storage::Dir(dir) => {
-                let mut seqs: Vec<u64> = Vec::new();
-                if dir.exists() {
-                    for entry in fs::read_dir(dir)? {
-                        let name = entry?.file_name();
-                        let name = name.to_string_lossy();
-                        if let Some(seq) = name
-                            .strip_prefix("wal-")
-                            .and_then(|s| s.strip_suffix(".seg"))
-                            .and_then(|s| s.parse::<u64>().ok())
-                        {
-                            seqs.push(seq);
-                        }
-                    }
-                }
-                seqs.sort_unstable();
-                Ok(seqs.iter().map(|&s| dir.join(segment_name(s))).collect())
+            Storage::Dir(dir) => Ok(segment_files(dir)?.into_iter().map(|(_, p)| p).collect()),
+        }
+    }
+}
+
+/// The log segments in `dir` with their sequence numbers, ascending.
+pub(crate) fn segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    numbered_files(dir, "wal-", ".seg")
+}
+
+/// Files in `dir` named `{prefix}{seq}{suffix}`, ascending by `seq`
+/// (none when `dir` does not exist).
+pub(crate) fn numbered_files(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+) -> Result<Vec<(u64, PathBuf)>> {
+    let mut found = Vec::new();
+    if dir.exists() {
+        for entry in fs::read_dir(dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let seq = name
+                .to_string_lossy()
+                .strip_prefix(prefix)
+                .and_then(|s| s.strip_suffix(suffix))
+                .and_then(|s| s.parse::<u64>().ok());
+            if let Some(seq) = seq {
+                found.push((seq, entry.path()));
             }
         }
     }
+    found.sort_unstable_by_key(|&(seq, _)| seq);
+    Ok(found)
 }
 
 /// One decoded payload and where its frame ends (cumulative byte offset

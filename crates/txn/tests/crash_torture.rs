@@ -98,8 +98,7 @@ fn committed_workload(dir: &Path, config: WalConfig, txns: u64) -> Vec<PathBuf> 
         wal.append(LogRecord::Begin { tid }).unwrap();
         wal.append(LogRecord::Data {
             tid,
-            engine: "hana".into(),
-            payload: format!("INSERT INTO t VALUES ({tid})"),
+            payload: format!("INSERT INTO t VALUES ({tid})").into_bytes(),
         })
         .unwrap();
         wal.append_durable(LogRecord::Commit { tid, cid: tid })
@@ -204,8 +203,7 @@ fn seeded_random_workloads_survive_random_crashes() {
                 wal.append(LogRecord::Begin { tid }).unwrap();
                 wal.append(LogRecord::Data {
                     tid,
-                    engine: "hana".into(),
-                    payload: "x".repeat(1 + rng.below(200) as usize),
+                    payload: "x".repeat(1 + rng.below(200) as usize).into_bytes(),
                 })
                 .unwrap();
                 match rng.below(10) {

@@ -24,8 +24,7 @@ fn write_three_txns(path: &std::path::Path) -> u64 {
         wal.append(LogRecord::Begin { tid }).unwrap();
         wal.append(LogRecord::Data {
             tid,
-            engine: "hana".into(),
-            payload: format!("INSERT INTO t VALUES ({tid})"),
+            payload: format!("INSERT INTO t VALUES ({tid})").into_bytes(),
         })
         .unwrap();
         wal.append_durable(LogRecord::Commit { tid, cid: tid })

@@ -40,6 +40,13 @@ impl DataType {
             )
     }
 
+    /// Whether a value of type `value` may be stored in a column of
+    /// this type: the lossless widenings, plus integer literals (typed
+    /// BIGINT) in INTEGER columns.
+    pub fn accepts(self, value: DataType) -> bool {
+        self.is_convertible_from(value) || (self == DataType::Int && value == DataType::BigInt)
+    }
+
     /// Whether the type is numeric (participates in SUM/AVG and
     /// arithmetic).
     pub fn is_numeric(self) -> bool {

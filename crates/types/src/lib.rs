@@ -11,6 +11,7 @@
 //! [`Schema`] lookups are `O(1)` after construction.
 
 mod agg;
+pub mod codec;
 mod datatype;
 mod date;
 mod error;

@@ -128,9 +128,7 @@ impl Schema {
                     )));
                 }
                 None => {}
-                Some(t) if c.data_type.is_convertible_from(t) => {}
-                // Int literals feed INTEGER columns; doubles stay doubles.
-                Some(DataType::BigInt) if c.data_type == DataType::Int => {}
+                Some(t) if c.data_type.accepts(t) => {}
                 Some(t) => {
                     return Err(HanaError::Execution(format!(
                         "value of type {t} not assignable to column '{}' of type {}",

@@ -1,7 +1,10 @@
 //! Satellite of E15 — backup/restore interop with WAL replay: restoring
 //! a backup taken mid-workload and re-applying the log after the
 //! backup's snapshot CID must yield state identical to the uninterrupted
-//! execution, over random DML mixes.
+//! execution, over random mixes of DML, bulk loads and ingest epochs
+//! that carry adversarial values.
+
+mod common;
 
 use std::path::PathBuf;
 
@@ -20,18 +23,46 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// One random DML statement against tables `w` (column) and `r` (row).
-fn random_dml(rng: &mut TestRng, i: u64) -> String {
-    match rng.below(10) {
+/// Adversarial tables: column, row and hash-partitioned.
+const ADVERSARIAL: [&str; 3] = ["ac", "ar", "ad"];
+
+/// One random operation: DML against tables `w` (column) and `r` (row),
+/// or a bulk load or ingest epoch of adversarial rows. Operation `i`
+/// uses ids `i * 100..` in the adversarial tables.
+fn random_op(hana: &HanaPlatform, s: &Session, rng: &mut TestRng, i: u64) {
+    let text = common::STRINGS[rng.below(common::STRINGS.len() as u64) as usize];
+    let dml = match rng.below(14) {
         0..=4 => format!("INSERT INTO w VALUES ({}, {})", rng.below(15), i),
         5 => format!("UPDATE w SET v = {} WHERE k = {}", 1000 + i, rng.below(15)),
         6 => format!("DELETE FROM w WHERE k = {}", rng.below(15)),
         7..=8 => format!("INSERT INTO r VALUES ({}, 'v{}')", i, rng.below(50)),
-        _ => format!("UPDATE r SET s = 's{}' WHERE k > {}", i, rng.below(40)),
-    }
+        9 => format!("UPDATE r SET s = 's{}' WHERE k > {}", i, rng.below(40)),
+        10 => format!("UPDATE r SET s = '{text}' WHERE k > {}", rng.below(40)),
+        11 => {
+            let table = ADVERSARIAL[rng.below(3) as usize];
+            for sql in common::inserts(table, i as i64 * 100) {
+                hana.execute_sql(s, &sql).unwrap();
+            }
+            return;
+        }
+        12 => {
+            let table = ADVERSARIAL[rng.below(3) as usize];
+            hana.load_rows(s, table, &common::rows(i as i64 * 100))
+                .unwrap();
+            return;
+        }
+        _ => {
+            let table = ADVERSARIAL[rng.below(3) as usize];
+            hana.commit_ingest_batch(s, "feed", i + 1, table, &common::rows(i as i64 * 100))
+                .unwrap();
+            return;
+        }
+    };
+    // DML may legitimately match nothing; it must still parse.
+    hana.execute_sql(s, &dml).unwrap();
 }
 
-fn table_state(hana: &HanaPlatform, s: &Session) -> (Vec<Row>, Vec<Row>) {
+fn table_state(hana: &HanaPlatform, s: &Session) -> Vec<String> {
     let w = hana
         .execute_sql(s, "SELECT k, v FROM w ORDER BY k, v")
         .unwrap()
@@ -40,7 +71,9 @@ fn table_state(hana: &HanaPlatform, s: &Session) -> (Vec<Row>, Vec<Row>) {
         .execute_sql(s, "SELECT k, s FROM r ORDER BY k, s")
         .unwrap()
         .rows;
-    (w, r)
+    let mut state = vec![format!("{w:?}"), format!("{r:?}")];
+    state.extend(ADVERSARIAL.map(|t| common::dump(hana, s, t)));
+    state
 }
 
 #[test]
@@ -58,6 +91,18 @@ fn restore_plus_replay_equals_uninterrupted_execution() {
             .unwrap();
         a.execute_sql(&sa, "CREATE ROW TABLE r (k INTEGER, s VARCHAR(20))")
             .unwrap();
+        for (table, kind) in [("ac", "COLUMN"), ("ar", "ROW"), ("ad", "COLUMN")] {
+            let partition = if table == "ad" {
+                " PARTITION BY HASH(id) PARTITIONS 4"
+            } else {
+                ""
+            };
+            a.execute_sql(
+                &sa,
+                &format!("CREATE {kind} TABLE {table} {}{partition}", common::COLUMNS),
+            )
+            .unwrap();
+        }
         let seed: Vec<Row> = (0..8)
             .map(|i| Row::from_values([Value::Int(i % 5), Value::Int(i)]))
             .collect();
@@ -70,8 +115,7 @@ fn restore_plus_replay_equals_uninterrupted_execution() {
             if i == backup_at {
                 backup = Some(a.backup(&sa).unwrap());
             }
-            // DML may legitimately match nothing; it must still parse.
-            a.execute_sql(&sa, &random_dml(&mut rng, i)).unwrap();
+            random_op(&a, &sa, &mut rng, i);
         }
         let backup = backup.unwrap();
         let expected = table_state(&a, &sa);

@@ -10,6 +10,8 @@
 //! sampled matrices run everywhere; the exhaustive every-byte matrix is
 //! `#[ignore]`d for the dedicated CI lane.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -104,15 +106,23 @@ fn ints(hana: &HanaPlatform, s: &Session, sql: &str) -> Vec<i64> {
         .collect()
 }
 
-/// Single-node workload: DDL, per-statement inserts, a bulk load and a
-/// merge (both checkpoint barriers), then a post-checkpoint suffix.
-fn run_single_node_workload(dir: &Path) {
+/// Single-node workload: DDL, per-statement inserts, bulk loads and a
+/// merge (checkpoint barriers), then a post-checkpoint suffix. Table
+/// `adv` holds adversarial values from a bulk load and from DML; its
+/// final dump is returned.
+fn run_single_node_workload(dir: &Path) -> String {
     let (hana, _) = HanaPlatform::open_durable_with(dir, direct()).unwrap();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     hana.execute_sql(&s, "CREATE COLUMN TABLE t (v INTEGER)")
         .unwrap();
     hana.execute_sql(&s, "CREATE ROW TABLE r (k INTEGER, s VARCHAR(20))")
         .unwrap();
+    hana.execute_sql(&s, &format!("CREATE COLUMN TABLE adv {}", common::COLUMNS))
+        .unwrap();
+    hana.load_rows(&s, "adv", &common::rows(0)).unwrap(); // checkpoint barrier
+    for sql in common::inserts("adv", 100) {
+        hana.execute_sql(&s, &sql).unwrap();
+    }
     for i in 1..=6 {
         hana.execute_sql(&s, &format!("INSERT INTO t VALUES ({i})"))
             .unwrap();
@@ -130,6 +140,7 @@ fn run_single_node_workload(dir: &Path) {
     }
     hana.execute_sql(&s, "UPDATE r SET s = 'uno' WHERE k = 1")
         .unwrap();
+    common::dump(&hana, &s, "adv")
 }
 
 /// The committed-prefix invariant for the single-node workload: `t`
@@ -174,7 +185,7 @@ fn check_single_node_matrix(src: &Path, points: impl Iterator<Item = u64>) {
 #[test]
 fn single_node_crash_matrix_sampled() {
     let dir = scratch("sn");
-    run_single_node_workload(&dir);
+    let adv = run_single_node_workload(&dir);
     let (_, total) = coordinator_segments(&dir);
     let step = (total / 48).max(1);
     let points = (0..=total).step_by(step as usize).chain([total]);
@@ -186,7 +197,66 @@ fn single_node_crash_matrix_sampled() {
     assert_eq!(ints(&hana, &s, "SELECT v FROM t ORDER BY v").len(), 18);
     let rs = hana.execute_sql(&s, "SELECT s FROM r WHERE k = 1").unwrap();
     assert_eq!(rs.scalar().unwrap(), &Value::Varchar("uno".into()));
+    assert_eq!(common::dump(&hana, &s, "adv"), adv);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Adversarial values in column, row and hash-partitioned tables,
+/// written by bulk load, DML and an ingest epoch, read back unchanged
+/// from a checkpoint reopen and from the log alone.
+#[test]
+fn adversarial_values_survive_every_reopen() {
+    let dir = scratch("adv");
+    let tables = [
+        ("ac", "COLUMN", ""),
+        ("ar", "ROW", ""),
+        ("ad", "COLUMN", " PARTITION BY HASH(id) PARTITIONS 4"),
+    ];
+    let dumps = |hana: &HanaPlatform| -> Vec<String> {
+        let s = hana.connect("SYSTEM", "manager").unwrap();
+        tables
+            .iter()
+            .map(|(t, _, _)| common::dump(hana, &s, t))
+            .collect()
+    };
+    let expected = {
+        let (hana, _) = HanaPlatform::open_durable_with(&dir, direct()).unwrap();
+        let s = hana.connect("SYSTEM", "manager").unwrap();
+        for (table, kind, partition) in tables {
+            hana.execute_sql(
+                &s,
+                &format!("CREATE {kind} TABLE {table} {}{partition}", common::COLUMNS),
+            )
+            .unwrap();
+            hana.load_rows(&s, table, &common::rows(0)).unwrap();
+            for sql in common::inserts(table, 100) {
+                hana.execute_sql(&s, &sql).unwrap();
+            }
+            hana.commit_ingest_batch(&s, table, 1, table, &common::rows(200))
+                .unwrap();
+        }
+        dumps(&hana)
+    };
+    assert!(expected.iter().all(|d| d.contains("Varchar(\"\")")));
+
+    let (hana, _) = HanaPlatform::open_durable_with(&dir, direct()).unwrap();
+    assert_eq!(dumps(&hana), expected, "checkpoint reopen");
+    drop(hana);
+
+    // The sidecars are only an optimization: the log alone must
+    // rebuild the same values.
+    let copy = scratch("adv-nockpt");
+    copy_dir(&dir, &copy);
+    for entry in std::fs::read_dir(&copy).unwrap() {
+        let p = entry.unwrap().path();
+        if p.extension().is_some_and(|e| e == "ckpt") {
+            std::fs::remove_file(p).unwrap();
+        }
+    }
+    let (hana, _) = HanaPlatform::open_durable_with(&copy, direct()).unwrap();
+    assert_eq!(dumps(&hana), expected, "log-only reopen");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
 }
 
 #[test]
@@ -283,8 +353,8 @@ fn dist_recovery_from_log_alone_redoes_partition_rows() {
     let counts = run_dist_workload(&dir);
     // Crash semantics allow losing the checkpoint sidecars (they are
     // only an optimization): with every sidecar gone, recovery must
-    // rebuild the full state from the coordinator log's DISTLOAD
-    // markers by redoing rows out of the partition logs.
+    // rebuild the full state from the coordinator log's `DistLoad`
+    // redo records by redoing rows out of the partition logs.
     let copy = scratch("dist-nockpt-copy");
     copy_dir(&dir, &copy);
     for entry in std::fs::read_dir(&copy).unwrap() {

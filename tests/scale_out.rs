@@ -3,20 +3,37 @@
 //! instead of rows, prune partitions from predicates, and degrade under
 //! link faults along the SDA error taxonomy.
 
-use std::sync::Mutex;
-
-use hana_data_platform::dist::FaultPlan;
+use hana_data_platform::dist::{DistTable, FaultPlan};
+use hana_data_platform::obs::ProfileNode;
 use hana_data_platform::platform::{HanaPlatform, Session};
 use hana_data_platform::query::TableSource;
-use hana_data_platform::{Row, Value};
+use hana_data_platform::{ResultSet, Row, Value};
 use proptest::prelude::*;
 
-/// The `hana_dist_*` counters are process-global; tests that assert
-/// exact deltas serialize on this lock.
-static METRICS_LOCK: Mutex<()> = Mutex::new(());
+/// Items delivered over `dt`'s own links so far. Unlike the global
+/// `hana_dist_rows_shuffled_total`, tests running beside this one
+/// cannot move it.
+fn link_rows(dt: &DistTable) -> u64 {
+    dt.links().iter().map(|l| l.stats().rows).sum()
+}
 
-fn counter(name: &str) -> u64 {
-    hana_data_platform::obs::registry().counter(name).get()
+/// Run `sql` under a profile and return its result with the
+/// `(partitions_scanned, partitions_pruned)` its distributed scan
+/// recorded.
+fn profiled_partitions(hana: &HanaPlatform, s: &Session, sql: &str) -> (ResultSet, u64, u64) {
+    fn attr(nodes: &[ProfileNode], name: &str) -> Option<u64> {
+        nodes.iter().find_map(|n| {
+            n.attrs
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|&(_, v)| v)
+                .or_else(|| attr(&n.children, name))
+        })
+    }
+    let (rs, profile) = hana.profile_query(s, sql).unwrap();
+    let scanned = attr(&profile.roots, "partitions_scanned").expect("a distributed scan ran");
+    let pruned = attr(&profile.roots, "partitions_pruned").expect("a distributed scan ran");
+    (rs, scanned, pruned)
 }
 
 /// A platform with a hash-partitioned table `t` and an identical
@@ -43,10 +60,7 @@ fn setup(parts: usize, rows: usize) -> (HanaPlatform, Session) {
     (hana, s)
 }
 
-fn dist_table(
-    hana: &HanaPlatform,
-    name: &str,
-) -> std::sync::Arc<hana_data_platform::dist::DistTable> {
+fn dist_table(hana: &HanaPlatform, name: &str) -> std::sync::Arc<DistTable> {
     match hana.catalog().table(name).unwrap().source {
         TableSource::Distributed(dt) => dt,
         _ => panic!("'{name}' is not distributed"),
@@ -55,7 +69,6 @@ fn dist_table(
 
 #[test]
 fn partitioned_group_by_is_byte_identical_and_ships_partials() {
-    let _g = METRICS_LOCK.lock().unwrap();
     let (hana, s) = setup(4, 5_000);
     let dt = dist_table(&hana, "t");
     assert_eq!(dt.node_count(), 4);
@@ -65,9 +78,9 @@ fn partitioned_group_by_is_byte_identical_and_ships_partials() {
     );
 
     let sql = "SELECT k, COUNT(*) AS n, SUM(v) AS total FROM t GROUP BY k ORDER BY k";
-    let before = counter("hana_dist_rows_shuffled_total");
+    let before = link_rows(&dt);
     let dist = hana.execute_sql(&s, sql).unwrap();
-    let shuffled = counter("hana_dist_rows_shuffled_total") - before;
+    let shuffled = link_rows(&dt) - before;
     let solo = hana
         .execute_sql(&s, &sql.replace("FROM t", "FROM solo"))
         .unwrap();
@@ -88,16 +101,10 @@ fn partitioned_group_by_is_byte_identical_and_ships_partials() {
 
 #[test]
 fn selective_predicate_prunes_partitions() {
-    let _g = METRICS_LOCK.lock().unwrap();
     let (hana, s) = setup(4, 2_000);
 
-    let scanned0 = counter("hana_dist_partitions_scanned_total");
-    let pruned0 = counter("hana_dist_partitions_pruned_total");
-    let dist = hana
-        .execute_sql(&s, "SELECT COUNT(*) FROM t WHERE k = 7")
-        .unwrap();
-    let scanned = counter("hana_dist_partitions_scanned_total") - scanned0;
-    let pruned = counter("hana_dist_partitions_pruned_total") - pruned0;
+    let (dist, scanned, pruned) =
+        profiled_partitions(&hana, &s, "SELECT COUNT(*) FROM t WHERE k = 7");
 
     let solo = hana
         .execute_sql(&s, "SELECT COUNT(*) FROM solo WHERE k = 7")
@@ -109,7 +116,6 @@ fn selective_predicate_prunes_partitions() {
 
 #[test]
 fn range_partitioning_prunes_order_predicates() {
-    let _g = METRICS_LOCK.lock().unwrap();
     let hana = HanaPlatform::new_in_memory();
     let s = hana.connect("SYSTEM", "manager").unwrap();
     hana.execute_sql(
@@ -123,11 +129,8 @@ fn range_partitioning_prunes_order_predicates() {
         .collect();
     hana.load_rows(&s, "r", &data).unwrap();
 
-    let pruned0 = counter("hana_dist_partitions_pruned_total");
-    let rs = hana
-        .execute_sql(&s, "SELECT k, v FROM r WHERE k < 6 ORDER BY v")
-        .unwrap();
-    let pruned = counter("hana_dist_partitions_pruned_total") - pruned0;
+    let (rs, _, pruned) =
+        profiled_partitions(&hana, &s, "SELECT k, v FROM r WHERE k < 6 ORDER BY v");
     assert_eq!(
         pruned, 3,
         "k < 6 lives entirely in the first range partition"
